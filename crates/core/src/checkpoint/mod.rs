@@ -44,35 +44,87 @@ const RUN_BYTES: usize = 12;
 
 /// Serializes a grid (with its generation stamp) to bytes.
 pub fn save<S: State>(grid: &Grid<S>, time: Ticks) -> Vec<u8> {
-    let shape = grid.shape();
-    // RLE over the raster stream.
-    let data = grid.as_slice();
-    let mut runs: Vec<(u32, u64)> = Vec::new();
-    let mut i = 0usize;
-    while i < data.len() {
-        let v = data[i].to_word();
-        let mut run = 1usize;
-        while i + run < data.len() && data[i + run].to_word() == v && run < u32::MAX as usize {
-            run += 1;
-        }
-        runs.push((run as u32, v));
-        i += run;
+    encode(grid.shape(), time, || std::iter::once(grid.as_slice()))
+}
+
+/// Serializes the `rows`×`cols` block of the 2-D `grid` whose top-left
+/// site is `(row0, col0)`: byte-identical to [`save`] of that block
+/// copied out into its own grid, but read straight from the lattice's
+/// row slices — the farm's per-shard checkpoint barrier.
+pub fn save_block<S: State>(
+    grid: &Grid<S>,
+    (row0, col0): (usize, usize),
+    (rows, cols): (usize, usize),
+    time: Ticks,
+) -> Result<Vec<u8>, LatticeError> {
+    let outer = grid.shape();
+    if outer.rank() != 2 {
+        return Err(LatticeError::BadRank { rank: outer.rank() });
     }
-    let mut out = Vec::with_capacity(FIXED_HEADER + shape.rank() * 8 + 8 + runs.len() * RUN_BYTES);
+    if row0 + rows > outer.rows() || col0 + cols > outer.cols() {
+        return Err(LatticeError::InvalidConfig(format!(
+            "block {rows}x{cols} at ({row0},{col0}) overruns the {}x{} lattice",
+            outer.rows(),
+            outer.cols()
+        )));
+    }
+    let shape = Shape::grid2(rows, cols)?;
+    let stride = outer.cols();
+    let data = grid.as_slice();
+    Ok(encode(shape, time, || {
+        (row0..row0 + rows).map(move |r| &data[r * stride + col0..r * stride + col0 + cols])
+    }))
+}
+
+/// The one encoder behind [`save`] and [`save_block`]: `slices()`
+/// yields the raster stream in pieces (runs continue across piece
+/// boundaries). One pass counts the runs, a second writes them into a
+/// buffer sized exactly for the image.
+fn encode<'a, S: State, I: Iterator<Item = &'a [S]>>(
+    shape: Shape,
+    time: Ticks,
+    slices: impl Fn() -> I,
+) -> Vec<u8> {
+    let mut run_count = 0usize;
+    for_each_run(slices(), |_, _| run_count += 1);
+    let mut out = Vec::with_capacity(FIXED_HEADER + shape.rank() * 8 + 8 + run_count * RUN_BYTES);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.push(shape.rank() as u8);
     out.push(S::BITS as u8);
-    out.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(run_count as u32).to_le_bytes());
     for &d in shape.dims() {
         out.extend_from_slice(&(d as u64).to_le_bytes());
     }
     out.extend_from_slice(&time.get().to_le_bytes());
-    for (count, value) in runs {
+    for_each_run(slices(), |count, value| {
         out.extend_from_slice(&count.to_le_bytes());
         out.extend_from_slice(&value.to_le_bytes());
-    }
+    });
     out
+}
+
+/// Calls `emit(count, value)` for every maximal run of equal words in
+/// the concatenated `slices`, splitting runs longer than `u32::MAX`.
+fn for_each_run<'a, S: State>(
+    slices: impl Iterator<Item = &'a [S]>,
+    mut emit: impl FnMut(u32, u64),
+) {
+    let (mut count, mut value) = (0u32, 0u64);
+    for &site in slices.flatten() {
+        let v = site.to_word();
+        if count > 0 && v == value && count < u32::MAX {
+            count += 1;
+        } else {
+            if count > 0 {
+                emit(count, value);
+            }
+            (count, value) = (1, v);
+        }
+    }
+    if count > 0 {
+        emit(count, value);
+    }
 }
 
 /// Deserializes a checkpoint, returning the grid and its generation.
@@ -142,15 +194,17 @@ pub fn load<S: State>(bytes: &[u8]) -> Result<(Grid<S>, Ticks), LatticeError> {
     let time = Ticks::new(u64::from_le_bytes(tb));
 
     // Every run covers at most u32::MAX sites, so the declared run
-    // count bounds the coverable lattice. This keeps a forged huge
-    // header from driving allocations: no run may grow `data` past
-    // `shape.len()`, and `shape.len()` is bounded by the run count.
+    // count bounds the coverable lattice.
     let max_coverable = run_count as u128 * u32::MAX as u128;
     if shape.len() as u128 > max_coverable {
         return Err(err("declared lattice larger than the run stream can cover"));
     }
 
-    let mut data: Vec<S> = Vec::with_capacity(shape.len());
+    // `data` grows only by runs actually decoded, never from the
+    // header's dims: a flipped dims bit can declare a lattice far larger
+    // than the image holds, and preallocating it would abort the
+    // process instead of failing the "stops short" check below.
+    let mut data: Vec<S> = Vec::new();
     for _ in 0..run_count {
         let mut cb = [0u8; 4];
         cb.copy_from_slice(take(&mut pos, 4)?);
@@ -275,5 +329,88 @@ mod tests {
         let at = runs_at(1);
         bytes[at..at + 4].copy_from_slice(&0u32.to_le_bytes());
         assert!(load::<u8>(&bytes).is_err());
+    }
+    /// Images written by the encoder before it streamed from row
+    /// slices, pinned byte for byte: runs that cross row boundaries,
+    /// 1-bit and 16-bit sites, rank 1 and 3, and a sparse 33×70
+    /// lattice (length and CRC-64).
+    #[test]
+    fn encoder_output_is_pinned_to_golden_bytes() {
+        let g = Grid::from_fn(Shape::grid2(3, 5).unwrap(), |c| ((c.row() * 5 + c.col()) / 4) as u8);
+        let golden: &[u8] = &[
+            76, 71, 67, 75, 2, 0, 2, 8, 4, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0,
+            42, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 1, 0, 0, 0, 0,
+            0, 0, 0, 4, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(save(&g, Ticks::new(42)), golden);
+        assert_eq!(save_block(&g, (0, 0), (3, 5), Ticks::new(42)).unwrap(), golden);
+
+        let g1 = Grid::from_fn(Shape::line(10).unwrap(), |c| c.col() % 4 < 2);
+        let golden1: &[u8] = &[
+            76, 71, 67, 75, 2, 0, 1, 1, 5, 0, 0, 0, 10, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0,
+            0, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0,
+            1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0, 0,
+            0, 0, 0,
+        ];
+        assert_eq!(save(&g1, Ticks::new(7)), golden1);
+
+        let g3 =
+            Grid::from_fn(Shape::grid3(2, 2, 2).unwrap(), |c| (c.get(0) * 300 + c.get(2)) as u16);
+        let golden3: &[u8] = &[
+            76, 71, 67, 75, 2, 0, 3, 16, 8, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0,
+            0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1,
+            0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 44, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 45, 1, 0, 0, 0,
+            0, 0, 0, 1, 0, 0, 0, 44, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 45, 1, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(save(&g3, Ticks::ZERO), golden3);
+
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let sparse = Grid::from_fn(Shape::grid2(33, 70).unwrap(), |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if x.is_multiple_of(5) {
+                (x >> 8) as u8 & 0x0f
+            } else {
+                0
+            }
+        });
+        let bytes = save(&sparse, Ticks::new(1 << 40));
+        assert_eq!((bytes.len(), store::crc64(&bytes)), (8904, 0xf4f2_4c55_0323_6812));
+    }
+
+    #[test]
+    fn save_block_matches_save_of_the_copied_block() {
+        let outer = Shape::grid2(9, 13).unwrap();
+        let g = Grid::from_fn(outer, |c| ((c.row() * 7 + c.col() * 3) % 4 / 3) as u8);
+        for (r0, c0, rows, cols) in [(0, 0, 9, 13), (2, 3, 4, 5), (8, 12, 1, 1), (1, 0, 7, 13)] {
+            let block = Grid::from_fn(Shape::grid2(rows, cols).unwrap(), |c| {
+                g.get(Coord::c2(r0 + c.row(), c0 + c.col()))
+            });
+            let t = Ticks::new(11);
+            assert_eq!(save_block(&g, (r0, c0), (rows, cols), t).unwrap(), save(&block, t));
+        }
+        assert!(save_block(&g, (5, 0), (5, 13), Ticks::ZERO).is_err());
+        assert!(save_block(&g, (0, 10), (1, 4), Ticks::ZERO).is_err());
+        let line: Grid<u8> = Grid::new(Shape::line(4).unwrap());
+        assert!(save_block(&line, (0, 0), (1, 4), Ticks::ZERO).is_err());
+    }
+
+    #[test]
+    fn a_forged_huge_shape_is_rejected_without_allocating_it() {
+        // Four runs may cover up to 4 × u32::MAX sites, so dims of
+        // 131071 × 131072 pass the coverage guard; preallocating that
+        // many 16-bit sites (34 GB) from the header would abort.
+        let g = Grid::from_vec(Shape::grid2(2, 2).unwrap(), vec![1u16, 2, 3, 4]).unwrap();
+        let mut bytes = save(&g, Ticks::ZERO);
+        bytes[12..20].copy_from_slice(&131_071u64.to_le_bytes());
+        bytes[20..28].copy_from_slice(&131_072u64.to_le_bytes());
+        match load::<u16>(&bytes) {
+            Err(LatticeError::Corrupted { detail, .. }) => {
+                assert!(detail.contains("stops short"), "{detail}");
+            }
+            other => panic!("expected a structured rejection, got {other:?}"),
+        }
     }
 }

@@ -117,6 +117,20 @@ impl<S: State> Grid<S> {
     pub fn window(&self, c: Coord, time: u64, boundary: Boundary<S>) -> Window<S> {
         let rank = self.shape.rank();
         let mut cells = [S::default(); WINDOW_MAX];
+        if rank == 2 {
+            let (rows, cols) = (self.shape.rows(), self.shape.cols());
+            let (r, col) = (c.row(), c.col());
+            if r >= 1 && col >= 1 && r + 1 < rows && col + 1 < cols {
+                // Interior site: all nine cells are on the lattice, so
+                // the boundary cannot enter — read the three row spans
+                // straight from the raster.
+                for (i, rr) in (r - 1..=r + 1).enumerate() {
+                    let at = rr * cols + col - 1;
+                    cells[3 * i..3 * i + 3].copy_from_slice(&self.data[at..at + 3]);
+                }
+                return Window::from_cells(rank, c, time, cells);
+            }
+        }
         let n = crate::window::window_len(rank);
         for (idx, cell) in cells.iter_mut().enumerate().take(n) {
             let delta = crate::window::index_offset(rank, idx);
@@ -184,6 +198,21 @@ mod tests {
         let b = Boundary::Periodic;
         assert_eq!(g.neighbor(Coord::c2(0, 0), &[-1, -1], b), 11);
         assert_eq!(g.neighbor(Coord::c2(2, 3), &[1, 1], b), 0);
+    }
+
+    #[test]
+    fn window_cells_are_the_neighbors_under_either_boundary() {
+        let g = Grid::from_fn(Shape::grid2(5, 6).unwrap(), |c| (c.row() * 6 + c.col()) as u8);
+        for b in [Boundary::Periodic, Boundary::Fixed(99)] {
+            for i in 0..g.len() {
+                let c = g.shape().coord(i);
+                let w = g.window(c, 0, b);
+                for (k, &cell) in w.cells().iter().enumerate() {
+                    let d = crate::window::index_offset(2, k);
+                    assert_eq!(cell, g.neighbor(c, &d[..2], b), "site {i} cell {k}");
+                }
+            }
+        }
     }
 
     #[test]

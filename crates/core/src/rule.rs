@@ -6,6 +6,7 @@
 //! (§3): `v(a, t+1) = f(N(a), t)` with `N(a)` contained in the radius-1
 //! Moore window around `a`.
 
+use crate::grid::Grid;
 use crate::window::Window;
 
 /// A site value: small, copyable, with a fixed bit width.
@@ -88,6 +89,29 @@ pub trait Rule: Sync {
     fn name(&self) -> &str {
         "anonymous-rule"
     }
+
+    /// Evolves a whole block `steps` generations at once, under the
+    /// null boundary (fill `S::default()`), with the block's `(0, 0)` at
+    /// global coordinate `origin` and its first update at generation
+    /// `t0` — the result must equal `steps` per-window updates exactly
+    /// (`lattice_core::evolve(grid, self, Boundary::null(), t0, steps)`
+    /// with windows stamped at `origin`-shifted coordinates).
+    ///
+    /// A bulk kernel (bit-planes, multi-spin coding) lets the engine
+    /// simulators evolve state without stepping every window, keeping
+    /// their machine accounting separate. `None` — the default, and the
+    /// answer for inputs a kernel does not cover — sends the caller back
+    /// to per-window evaluation.
+    fn evolve_block(
+        &self,
+        grid: &Grid<Self::S>,
+        t0: u64,
+        origin: (usize, usize),
+        steps: u64,
+    ) -> Option<Grid<Self::S>> {
+        let _ = (grid, t0, origin, steps);
+        None
+    }
 }
 
 impl<R: Rule + ?Sized> Rule for &R {
@@ -97,6 +121,15 @@ impl<R: Rule + ?Sized> Rule for &R {
     }
     fn name(&self) -> &str {
         (**self).name()
+    }
+    fn evolve_block(
+        &self,
+        grid: &Grid<Self::S>,
+        t0: u64,
+        origin: (usize, usize),
+        steps: u64,
+    ) -> Option<Grid<Self::S>> {
+        (**self).evolve_block(grid, t0, origin, steps)
     }
 }
 
@@ -134,6 +167,31 @@ mod tests {
         assert!(bool::from_word(3));
         assert_eq!(u32::BITS, 32);
         assert_eq!(<bool as State>::BITS, 1);
+    }
+
+    #[test]
+    fn references_forward_the_block_kernel() {
+        use crate::Shape;
+        struct Bulk;
+        impl Rule for Bulk {
+            type S = u8;
+            fn update(&self, w: &Window<u8>) -> u8 {
+                w.center()
+            }
+            fn evolve_block(
+                &self,
+                grid: &Grid<u8>,
+                _: u64,
+                _: (usize, usize),
+                _: u64,
+            ) -> Option<Grid<u8>> {
+                Some(grid.clone())
+            }
+        }
+        let g: Grid<u8> = Grid::new(Shape::grid2(2, 3).unwrap());
+        assert!(Rule::evolve_block(&&Bulk, &g, 0, (0, 0), 1).is_some());
+        assert!(Rule::evolve_block(&&&Bulk, &g, 0, (0, 0), 1).is_some());
+        assert!(IdentityRule::<u8>::new().evolve_block(&g, 0, (0, 0), 1).is_none());
     }
 
     #[test]

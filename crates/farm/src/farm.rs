@@ -604,25 +604,24 @@ impl Totals {
     /// board — which reduces to the slowest board's full sweep when
     /// overlap is off. `phys` maps slab index → physical board.
     fn absorb<S: State>(&mut self, out: &PassOutcome<S>, k: u64, phys: &[usize]) {
-        let mut pass = out.reports[0].clone();
-        for r in &out.reports[1..] {
-            pass.merge(r);
-        }
-        self.updates += pass.updates;
         self.compute_ticks += out.boundary_ticks + out.interior_ticks;
         self.generations += k;
-        self.memory.merge(pass.memory_traffic);
-        self.pins.merge(pass.pin_traffic);
-        self.side.merge(pass.side_traffic);
-        self.offchip.merge(pass.offchip_sr_traffic);
-        self.sr = self.sr.max(pass.sr_cells_per_stage);
-        self.stages = self.stages.max(pass.stages);
-        self.width = self.width.max(pass.width);
+        self.stages = self.stages.max(out.reports.iter().map(|r| r.stages).sum());
         self.halo_traffic.merge(out.halo_traffic);
         self.halo_ticks += out.halo_ticks;
         self.retransmit_ticks += out.retransmit_ticks;
         self.overlapped_ticks += out.overlapped_ticks;
         for (i, report) in out.reports.iter().enumerate() {
+            // The counters of `EngineReport::merge` over the boards,
+            // folded straight in rather than through a merged copy of
+            // the first board's report (and its lattice).
+            self.updates += report.updates;
+            self.memory.merge(report.memory_traffic);
+            self.pins.merge(report.pin_traffic);
+            self.side.merge(report.side_traffic);
+            self.offchip.merge(report.offchip_sr_traffic);
+            self.sr = self.sr.max(report.sr_cells_per_stage);
+            self.width = self.width.max(report.width);
             let stats = &mut self.per_shard[phys[i]];
             stats.updates += report.updates;
             stats.ticks += report.ticks;
@@ -713,11 +712,7 @@ fn save_shard_checkpoints<S: State>(
     blocks
         .iter()
         .map(|blk| {
-            let shape = Shape::grid2(blk.rows, blk.width)?;
-            let sg = Grid::from_fn(shape, |c| {
-                grid.get(Coord::c2(blk.row0 + c.row(), blk.col0 + c.col()))
-            });
-            Ok(checkpoint::save(&sg, Ticks::new(t)))
+            checkpoint::save_block(grid, (blk.row0, blk.col0), (blk.rows, blk.width), Ticks::new(t))
         })
         .collect()
 }
@@ -737,10 +732,16 @@ fn load_shard_checkpoints<S: State>(
                 detail: "shard checkpoints disagree on generation".into(),
             });
         }
-        for r in 0..blk.rows {
-            for j in 0..blk.width {
-                grid.set(Coord::c2(blk.row0 + r, blk.col0 + j), sg.get(Coord::c2(r, j)));
-            }
+        if sg.shape() != Shape::grid2(blk.rows, blk.width)? {
+            return Err(LatticeError::Corrupted {
+                site: format!("shard {} checkpoint", blk.index),
+                detail: "shard checkpoint does not match its block".into(),
+            });
+        }
+        let stride = shape.cols();
+        for (r, row) in sg.as_slice().chunks_exact(blk.width).enumerate() {
+            let at = (blk.row0 + r) * stride + blk.col0;
+            grid.as_mut_slice()[at..at + blk.width].copy_from_slice(row);
         }
     }
     Ok((grid, time.unwrap_or(Ticks::ZERO).get()))
@@ -951,25 +952,33 @@ impl LatticeFarm {
         let top_pad = wrap + block.halo_up;
         let aug_rows = block.aug_height(wrap);
         let aug_shape = Shape::grid2(aug_rows, block.aug_width())?;
-        let mut aug = Grid::from_fn(aug_shape, |c| {
-            // lattice-lint: allow(raw-cast) — toroidal index geometry, not dimensioned arithmetic.
-            let gr = block.row0 as isize - top_pad as isize + c.row() as isize;
-            // lattice-lint: allow(raw-cast) — toroidal index geometry, not dimensioned arithmetic.
-            let gc = block.col0 as isize - block.halo_left as isize + c.col() as isize;
-            if self.periodic {
-                grid.get(Coord::c2(
-                    // lattice-lint: allow(raw-cast) — toroidal index geometry.
-                    gr.rem_euclid(rows as isize) as usize,
-                    // lattice-lint: allow(raw-cast) — toroidal index geometry.
-                    gc.rem_euclid(cols as isize) as usize,
-                ))
+        // Each augmented row is one source row's column span, copied
+        // whole: on the torus both spans wrap (row and column indices
+        // taken mod the lattice); under the null boundary the halos are
+        // clamped, so every index is in range.
+        let aug_width = block.aug_width();
+        let mut aug = Grid::new(aug_shape);
+        let src = grid.as_slice();
+        let col_start = if self.periodic {
+            (block.col0 + cols - block.halo_left % cols) % cols
+        } else {
+            block.col0 - block.halo_left
+        };
+        for (ar, dst) in aug.as_mut_slice().chunks_exact_mut(aug_width).enumerate() {
+            let gr = if self.periodic {
+                (block.row0 + ar + rows - top_pad % rows) % rows
             } else {
-                // Null-boundary halos are clamped, so the indices
-                // are always in range.
-                // lattice-lint: allow(raw-cast) — toroidal index geometry.
-                grid.get(Coord::c2(gr as usize, gc as usize))
+                block.row0 + ar - top_pad
+            };
+            let row = &src[gr * cols..(gr + 1) * cols];
+            let (mut filled, mut c) = (0, col_start);
+            while filled < aug_width {
+                let n = (cols - c).min(aug_width - filled);
+                dst[filled..filled + n].copy_from_slice(&row[c..c + n]);
+                filled += n;
+                c = 0;
             }
-        });
+        }
         // Halo columns (full augmented height: corners and the torus's
         // wrap rows ride the column frames) cross the intra-rack tier;
         // owned columns stay on board.
@@ -1350,20 +1359,18 @@ impl LatticeFarm {
                 } else {
                     board_interior += report.ticks;
                 }
+                // Owned site (r, j) sits at augmented (top_pad + r,
+                // halo_left + j), i.e. region-local (top_pad + r − r0,
+                // halo_left + j − a0): copy each owned row span whole.
+                let span = region.own_hi - region.own_lo;
+                let src = report.grid.as_slice();
+                let dst = next.as_mut_slice();
                 for r in region.own_r_lo..region.own_r_hi {
-                    for j in region.own_lo..region.own_hi {
-                        // Owned site (r, j) sits at augmented
-                        // (top_pad + r, halo_left + j), i.e.
-                        // region-local (top_pad + r − r0,
-                        // halo_left + j − a0).
-                        next.set(
-                            Coord::c2(block.row0 + r, block.col0 + j),
-                            report.grid.get(Coord::c2(
-                                tp + r - region.r0,
-                                block.halo_left + j - region.a0,
-                            )),
-                        );
-                    }
+                    let from =
+                        (tp + r - region.r0) * region.width + block.halo_left + region.own_lo
+                            - region.a0;
+                    let to = (block.row0 + r) * cols + block.col0 + region.own_lo;
+                    dst[to..to + span].copy_from_slice(&src[from..from + span]);
                 }
             }
             boundary_ticks = boundary_ticks.max(board_boundary);
@@ -1985,9 +1992,9 @@ impl<'p, S: State> FarmSession<'p, S> {
                     });
                 match res {
                     Ok(out) => {
-                        self.current = out.grid.clone();
                         self.credit = out.interior_ticks;
                         self.totals.absorb(&out, u64_from_usize(k), &self.phys);
+                        self.current = out.grid;
                         self.t_now += u64_from_usize(k);
                         self.pass += 1;
                         self.passes += 1;

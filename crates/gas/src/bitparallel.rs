@@ -9,8 +9,11 @@
 //! the memory capacity", not raw ALU throughput.
 //!
 //! [`HppBitLattice`] implements the HPP gas this way, bit-exactly equal
-//! to the table-driven [`HppRule`] under periodic boundaries (HPP is
-//! deterministic, so exact equivalence is testable). The collision
+//! to the table-driven [`HppRule`] under periodic or null boundaries
+//! (HPP is deterministic, so exact equivalence is testable). Packing and
+//! unpacking move eight sites per word operation, so the kernel can sit
+//! behind [`HppRule`]'s `evolve_block` and serve the engine simulators'
+//! fault-free passes. The collision
 //! formula: with channels `e, n, w, s`,
 //!
 //! ```text
@@ -23,22 +26,66 @@
 //! [`HppRule`]: crate::hpp::HppRule
 
 use crate::hpp::{HppDir, HPP_MASK};
-use lattice_core::{Coord, Grid, LatticeError, Shape};
+use lattice_core::{Boundary, Grid, LatticeError, Shape};
+
+/// Bit `i` of each byte of a `u64`.
+const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+
+/// Gathers bit 0 of each of the 8 bytes of a word into one byte (byte
+/// `i` → bit `i`): the partial products land on distinct bits 56..63.
+const GATHER: u64 = 0x0102_0408_1020_4080;
+
+/// `SPREAD[b]` has bit `i` of `b` in bit 0 of byte `i` — [`GATHER`]'s
+/// inverse.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            if b >> i & 1 != 0 {
+                table[b] |= 1 << (8 * i);
+            }
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+};
 
 /// An HPP lattice stored as four channel bit-planes, 64 sites per word,
-/// packed along rows. Periodic boundaries.
+/// packed along rows, under either periodic boundaries or the null
+/// boundary (particles leaving the lattice vanish, none enter).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HppBitLattice {
     rows: usize,
     cols: usize,
     words_per_row: usize,
+    periodic: bool,
     /// `planes[ch][row * words_per_row + w]`.
     planes: [Vec<u64>; 4],
 }
 
 impl HppBitLattice {
-    /// Packs a byte-per-site HPP grid (2-D) into bit-planes.
+    /// Packs a byte-per-site HPP grid (2-D) into bit-planes, with
+    /// periodic boundaries.
     pub fn from_grid(grid: &Grid<u8>) -> Result<Self, LatticeError> {
+        Self::with_boundary(grid, Boundary::Periodic)
+    }
+
+    /// Packs a byte-per-site HPP grid (2-D) into bit-planes under
+    /// `boundary`: periodic, or the null boundary `Fixed(0)` — the
+    /// engines' stream boundary. A nonzero fill is rejected.
+    pub fn with_boundary(grid: &Grid<u8>, boundary: Boundary<u8>) -> Result<Self, LatticeError> {
+        let periodic = match boundary {
+            Boundary::Periodic => true,
+            Boundary::Fixed(0) => false,
+            Boundary::Fixed(fill) => {
+                return Err(LatticeError::InvalidConfig(format!(
+                    "the bit-parallel kernel needs an empty null fill, not {fill:#04x}"
+                )))
+            }
+        };
         let shape = grid.shape();
         if shape.rank() != 2 {
             return Err(LatticeError::BadRank { rank: shape.rank() });
@@ -51,38 +98,48 @@ impl HppBitLattice {
             vec![0u64; rows * wpr],
             vec![0u64; rows * wpr],
         ];
-        for r in 0..rows {
-            for c in 0..cols {
-                let s = grid.get(Coord::c2(r, c));
-                if s & !HPP_MASK != 0 {
-                    return Err(LatticeError::InvalidConfig(format!(
-                        "site ({r},{c}) = {s:#04x} has non-HPP bits (obstacles are \
-                         not supported by the bit-parallel kernel)"
-                    )));
-                }
-                for (ch, plane) in planes.iter_mut().enumerate() {
-                    if s >> ch & 1 != 0 {
-                        plane[r * wpr + c / 64] |= 1 << (c % 64);
+        for (r, row) in grid.as_slice().chunks_exact(cols).enumerate() {
+            for (w, sites) in row.chunks(64).enumerate() {
+                for (g, bytes) in sites.chunks(8).enumerate() {
+                    let mut word = [0u8; 8];
+                    word[..bytes.len()].copy_from_slice(bytes);
+                    let x = u64::from_le_bytes(word);
+                    if x & !(LOW_BITS * u64::from(HPP_MASK)) != 0 {
+                        let at = bytes.iter().position(|&s| s & !HPP_MASK != 0).unwrap_or(0);
+                        let (c, s) = (w * 64 + g * 8 + at, bytes[at]);
+                        return Err(LatticeError::InvalidConfig(format!(
+                            "site ({r},{c}) = {s:#04x} has non-HPP bits (obstacles are \
+                             not supported by the bit-parallel kernel)"
+                        )));
+                    }
+                    for (ch, plane) in planes.iter_mut().enumerate() {
+                        let bits = (x >> ch & LOW_BITS).wrapping_mul(GATHER) >> 56;
+                        plane[r * wpr + w] |= bits << (8 * g);
                     }
                 }
             }
         }
-        Ok(HppBitLattice { rows, cols, words_per_row: wpr, planes })
+        Ok(HppBitLattice { rows, cols, words_per_row: wpr, periodic, planes })
     }
 
     /// Unpacks to a byte-per-site grid.
     pub fn to_grid(&self) -> Grid<u8> {
         let shape = Shape::grid2(self.rows, self.cols).expect("valid dimensions");
-        Grid::from_fn(shape, |c| {
-            let (r, col) = (c.row(), c.col());
-            let mut s = 0u8;
-            for (ch, plane) in self.planes.iter().enumerate() {
-                if plane[r * self.words_per_row + col / 64] >> (col % 64) & 1 != 0 {
-                    s |= 1 << ch;
+        let wpr = self.words_per_row;
+        let mut grid = Grid::new(shape);
+        for (r, row) in grid.as_mut_slice().chunks_exact_mut(self.cols).enumerate() {
+            for (w, sites) in row.chunks_mut(64).enumerate() {
+                let words = self.planes.each_ref().map(|p| p[r * wpr + w]);
+                for (g, bytes) in sites.chunks_mut(8).enumerate() {
+                    let mut x = 0u64;
+                    for (ch, word) in words.iter().enumerate() {
+                        x |= SPREAD[(word >> (8 * g) & 0xff) as usize] << ch;
+                    }
+                    bytes.copy_from_slice(&x.to_le_bytes()[..bytes.len()]);
                 }
             }
-            s
-        })
+        }
+        grid
     }
 
     /// Lattice rows.
@@ -118,23 +175,20 @@ impl HppBitLattice {
         }
     }
 
-    /// Shifts one row's bit-plane left or right by one site with
-    /// periodic wrap (word-chained carries).
-    fn shift_row(row: &mut [u64], cols: usize, east: bool) {
+    /// Shifts one row's bit-plane left or right by one site
+    /// (word-chained carries), wrapping the edge site around when
+    /// `wrap` and dropping it otherwise.
+    fn shift_row(row: &mut [u64], cols: usize, east: bool, wrap: bool) {
         let wpr = row.len();
         let tail_bits = cols % 64;
         let last_bit = if tail_bits == 0 { 63 } else { tail_bits - 1 };
         if east {
             // Sites move toward higher column index.
-            let mut carry = row[wpr - 1] >> last_bit & 1;
+            let mut carry = if wrap { row[wpr - 1] >> last_bit & 1 } else { 0 };
             for w in row.iter_mut() {
                 let new_carry = *w >> 63 & 1;
                 *w = (*w << 1) | carry;
                 carry = new_carry;
-            }
-            // Clear phantom bits above the tail.
-            if tail_bits != 0 {
-                row[wpr - 1] &= (1u64 << tail_bits) - 1;
             }
         } else {
             let first = row[0] & 1;
@@ -142,34 +196,50 @@ impl HppBitLattice {
                 let next_in = if w + 1 < wpr { row[w + 1] & 1 } else { 0 };
                 row[w] = (row[w] >> 1) | (next_in << 63);
             }
-            // Wrap the first column's bit into the last column.
-            row[wpr - 1] |= first << last_bit;
-            if tail_bits != 0 {
-                row[wpr - 1] &= (1u64 << tail_bits) - 1;
+            if wrap {
+                // Wrap the first column's bit into the last column.
+                row[wpr - 1] |= first << last_bit;
             }
+        }
+        // Clear phantom bits above the tail.
+        if tail_bits != 0 {
+            row[wpr - 1] &= (1u64 << tail_bits) - 1;
         }
     }
 
     /// Applies the streaming step: E/W planes shift along rows, N/S
-    /// planes move whole rows, all with periodic wrap.
+    /// planes move whole rows, wrapping at the edges on a torus and
+    /// losing the particles that leave under the null boundary.
     pub fn stream(&mut self) {
         let wpr = self.words_per_row;
+        let periodic = self.periodic;
         for r in 0..self.rows {
+            let span = r * wpr..(r + 1) * wpr;
             Self::shift_row(
-                &mut self.planes[HppDir::E as usize][r * wpr..(r + 1) * wpr],
+                &mut self.planes[HppDir::E as usize][span.clone()],
                 self.cols,
                 true,
+                periodic,
             );
-            Self::shift_row(
-                &mut self.planes[HppDir::W as usize][r * wpr..(r + 1) * wpr],
-                self.cols,
-                false,
-            );
+            Self::shift_row(&mut self.planes[HppDir::W as usize][span], self.cols, false, periodic);
         }
-        // N movers go to row - 1: plane rotates up.
-        self.planes[HppDir::N as usize].rotate_left(wpr);
-        // S movers go to row + 1: plane rotates down.
-        self.planes[HppDir::S as usize].rotate_right(wpr);
+        // N movers go to row - 1 (the plane moves up), S movers to
+        // row + 1 (down).
+        let north = &mut self.planes[HppDir::N as usize];
+        let len = north.len();
+        if periodic {
+            north.rotate_left(wpr);
+        } else {
+            north.copy_within(wpr.., 0);
+            north[len - wpr..].fill(0);
+        }
+        let south = &mut self.planes[HppDir::S as usize];
+        if periodic {
+            south.rotate_right(wpr);
+        } else {
+            south.copy_within(..len - wpr, wpr);
+            south[..wpr].fill(0);
+        }
     }
 
     /// One full generation: collide then stream (matching
@@ -197,11 +267,12 @@ mod tests {
     use super::*;
     use crate::hpp::HppRule;
     use crate::init;
-    use lattice_core::{evolve, Boundary};
+    use lattice_core::{evolve, Coord};
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for (rows, cols) in [(4usize, 7usize), (8, 64), (3, 65), (5, 130)] {
+        for (rows, cols) in [(1usize, 1usize), (4, 7), (2, 8), (8, 64), (3, 65), (5, 130), (2, 199)]
+        {
             let shape = Shape::grid2(rows, cols).unwrap();
             let g = init::random_hpp(shape, 0.4, 9).unwrap();
             let packed = HppBitLattice::from_grid(&g).unwrap();
@@ -210,11 +281,32 @@ mod tests {
     }
 
     #[test]
+    fn null_boundary_matches_reference_exactly() {
+        for (rows, cols, steps) in
+            [(1usize, 1usize, 3u64), (8, 16, 10), (6, 64, 7), (5, 65, 5), (10, 130, 4), (3, 3, 12)]
+        {
+            let shape = Shape::grid2(rows, cols).unwrap();
+            let g = init::random_hpp(shape, 0.45, rows as u64 * 17 + cols as u64).unwrap();
+            let reference = evolve(&g, &HppRule::new(), Boundary::null(), 0, steps);
+            let mut packed = HppBitLattice::with_boundary(&g, Boundary::null()).unwrap();
+            packed.run(steps);
+            assert_eq!(packed.to_grid(), reference, "{rows}x{cols} steps={steps}");
+        }
+        let g = init::random_hpp(Shape::grid2(2, 2).unwrap(), 0.5, 1).unwrap();
+        assert!(HppBitLattice::with_boundary(&g, Boundary::Fixed(1)).is_err());
+    }
+
+    #[test]
     fn rejects_non_hpp_bits() {
         let shape = Shape::grid2(2, 2).unwrap();
         let mut g = Grid::new(shape);
         g.set_linear(0, crate::OBSTACLE_BIT);
         assert!(HppBitLattice::from_grid(&g).is_err());
+        // A stray bit in the ragged tail of a later word is found too.
+        let mut g = Grid::new(Shape::grid2(2, 75).unwrap());
+        g.set(Coord::c2(1, 73), 0x10);
+        let err = HppBitLattice::from_grid(&g).unwrap_err().to_string();
+        assert!(err.contains("(1,73)"), "{err}");
         let g1: Grid<u8> = Grid::new(Shape::line(4).unwrap());
         assert!(HppBitLattice::from_grid(&g1).is_err());
     }

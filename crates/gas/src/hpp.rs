@@ -14,11 +14,12 @@
 //! direction, the post-collision particle leaving the appropriate
 //! neighbor toward `a`.
 
+use crate::bitparallel::HppBitLattice;
 #[cfg(test)]
 use crate::prng;
 use crate::table::{CollisionTable, Invariants};
 use crate::{is_obstacle, OBSTACLE_BIT};
-use lattice_core::{Rule, Window};
+use lattice_core::{Boundary, Grid, Rule, Window};
 
 /// Particle channel directions, counterclockwise from +x.
 ///
@@ -179,6 +180,22 @@ impl Rule for HppRule {
     fn name(&self) -> &str {
         "hpp"
     }
+
+    /// The bit-plane kernel ([`HppBitLattice`]) under the null
+    /// boundary. HPP is deterministic and translation-invariant, so
+    /// neither `t0` nor `origin` enters; grids with obstacle (or any
+    /// other non-channel) bits get `None`.
+    fn evolve_block(
+        &self,
+        grid: &Grid<u8>,
+        _t0: u64,
+        _origin: (usize, usize),
+        steps: u64,
+    ) -> Option<Grid<u8>> {
+        let mut packed = HppBitLattice::with_boundary(grid, Boundary::null()).ok()?;
+        packed.run(steps);
+        Some(packed.to_grid())
+    }
 }
 
 #[cfg(test)]
@@ -241,6 +258,20 @@ mod tests {
         // After 5 steps it wraps to its start column.
         let g5 = evolve(&g, &HppRule::new(), Boundary::Periodic, 0, 5);
         assert_eq!(g5.get(Coord::c2(1, 1)), HppDir::E.bit());
+    }
+
+    #[test]
+    fn block_kernel_matches_per_window_updates_or_declines() {
+        let rule = HppRule::new();
+        let shape = Shape::grid2(9, 70).unwrap();
+        let g = crate::init::random_hpp(shape, 0.4, 3).unwrap();
+        let reference = evolve(&g, &rule, Boundary::null(), 5, 6);
+        assert_eq!(rule.evolve_block(&g, 5, (3, usize::MAX), 6), Some(reference));
+        let mut walled = g.clone();
+        walled.set(Coord::c2(4, 4), OBSTACLE_BIT);
+        assert_eq!(rule.evolve_block(&walled, 0, (0, 0), 1), None);
+        let line: Grid<u8> = Grid::new(Shape::line(8).unwrap());
+        assert_eq!(rule.evolve_block(&line, 0, (0, 0), 1), None);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::metrics::EngineReport;
 use crate::stage::{LineBufferStage, StageConfig};
 use lattice_core::bits::{StreamParity, Traffic};
 use lattice_core::units::{u64_from_usize, Cells, Sites, Ticks};
-use lattice_core::{Grid, LatticeError, Rule, State};
+use lattice_core::{Grid, LatticeError, Rule, Shape, State};
 
 /// Per-run options beyond the geometry: the stream origin, fault
 /// injection, and the physical-chip map.
@@ -123,24 +123,28 @@ impl Pipeline {
                 "chip map must name one physical chip per stage".into(),
             ));
         }
+        let shape = grid.shape();
+        let cfg = StageConfig {
+            shape,
+            width: self.width,
+            fill: R::S::default(),
+            gen: t0,
+            origin: opts.origin,
+        };
+        cfg.validate()?;
+        if opts.faults.is_none() {
+            if let Some(out) = rule.evolve_block(grid, t0, opts.origin, self.depth as u64) {
+                return self.report_from_geometry(out, &cfg);
+            }
+        }
         let chip_of = |j: usize| opts.chip_ids.map_or(j, |ids| ids[j]);
         let fault_base = opts.faults.map(|c| c.plan.stats()).unwrap_or_default();
-        let shape = grid.shape();
         let n = shape.len();
         let d_bits = R::S::BITS;
 
         let mut stages = Vec::with_capacity(self.depth);
         for j in 0..self.depth {
-            let mut stage = LineBufferStage::new(
-                rule,
-                StageConfig {
-                    shape,
-                    width: self.width,
-                    fill: R::S::default(),
-                    gen: t0 + j as u64,
-                    origin: opts.origin,
-                },
-            )?;
+            let mut stage = LineBufferStage::new(rule, StageConfig { gen: t0 + j as u64, ..cfg })?;
             if let Some(ctx) = opts.faults {
                 stage = stage.with_faults(FaultHook {
                     ctx,
@@ -210,6 +214,9 @@ impl Pipeline {
             }
         }
 
+        // The schedule reads only the stages' stream counters, never a
+        // site value, so the closed form must agree with every run.
+        debug_assert_eq!(Ticks::new(ticks), self.schedule_ticks(shape));
         let sr_cells =
             Cells::new(stages.iter().map(|s| s.config().required_cells() as u64).max().unwrap());
         Ok(EngineReport {
@@ -225,6 +232,73 @@ impl Pipeline {
             stages: self.depth as u32,
             width: self.width as u32,
             faults: opts.faults.map(|c| c.plan.stats().since(fault_base)).unwrap_or_default(),
+        })
+    }
+
+    /// Clock ticks a pass of a `shape` stream takes — what the cycle
+    /// simulator counts, in closed form per stage.
+    ///
+    /// Stage input arrives `P` sites per tick, so site `m` is in by tick
+    /// `⌊m/P⌋ + 1`. Output `i` of a stage is ready once input
+    /// `need(i) = min(i + a, n − 1)` is in (`a = cols + 1`, one row and
+    /// one column ahead; `a = 1` on a line), and at most `P` outputs
+    /// leave per tick, so output `i` leaves at
+    /// `τ(i) = max(τ_in(need(i)), τ(i − P) + 1)`. Unrolled over the
+    /// stages this is a longest path, `τ = ⌊v/P⌋ + 1`, whose "virtual
+    /// index" `v` starts at `n − 1` and per stage becomes
+    /// `min(v + a, n − 1 + P·⌊v/P⌋)`: the first term is a full-rate
+    /// stage a little over a row behind its input; the second binds
+    /// when the last row's outputs all become ready at once and drain
+    /// `P` per tick. For `n ≥ a + P` the second term never binds and
+    /// `ticks = ⌊(n − 1 + k·a)/P⌋ + 1`.
+    pub fn schedule_ticks(&self, shape: Shape) -> Ticks {
+        let n = u64_from_usize(shape.len());
+        let p = u64_from_usize(self.width.max(1));
+        let lead = if shape.rank() == 2 { u64_from_usize(shape.cols()) + 1 } else { 1 };
+        let mut v = n - 1;
+        for _ in 0..self.depth {
+            v = (v + lead).min(n - 1 + p * (v / p));
+        }
+        Ticks::new(v / p + 1)
+    }
+
+    /// The report of a fault-free pass whose lattice came from the
+    /// rule's block kernel. A pass's costs depend only on geometry:
+    /// [`Pipeline::schedule_ticks`] ticks; the stream crosses the
+    /// memory port once each way and every chip's pins once each way;
+    /// every stage holds `required_cells` of shift register.
+    fn report_from_geometry<S: State>(
+        &self,
+        grid: Grid<S>,
+        cfg: &StageConfig<S>,
+    ) -> Result<EngineReport<S>, LatticeError> {
+        if grid.shape() != cfg.shape {
+            return Err(LatticeError::ShapeMismatch {
+                left: cfg.shape.dims().to_vec(),
+                right: grid.shape().dims().to_vec(),
+            });
+        }
+        let n = grid.len() as u128;
+        let depth = self.depth as u128;
+        let mut memory = Traffic::new();
+        memory.record_in(n, S::BITS);
+        memory.record_out(n, S::BITS);
+        let mut pins = Traffic::new();
+        pins.record_in(depth * n, S::BITS);
+        pins.record_out(depth * n, S::BITS);
+        Ok(EngineReport {
+            generations: self.depth as u64,
+            updates: Sites::new(u64_from_usize(grid.len() * self.depth)),
+            ticks: self.schedule_ticks(cfg.shape),
+            memory_traffic: memory,
+            pin_traffic: pins,
+            side_traffic: Traffic::new(),
+            offchip_sr_traffic: Traffic::new(),
+            sr_cells_per_stage: Cells::new(u64_from_usize(cfg.required_cells())),
+            stages: self.depth as u32,
+            width: self.width as u32,
+            faults: Default::default(),
+            grid,
         })
     }
 }
